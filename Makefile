@@ -17,13 +17,16 @@ vet:
 test:
 	$(GO) test ./...
 
-# Race detector over the concurrent campaign-runner stack and the
-# networked transport/daemon/agent stack.
+# Race detector over the concurrent campaign-runner stack, the networked
+# transport/daemon/agent stack, and the protocol, swarm, metrics, trust
+# anchor, MCU and load-generator packages (the same set as CI).
 race:
 	$(GO) test -race ./internal/runner/... ./internal/core/... \
 		./internal/transport/... ./internal/server/... ./internal/agent/... \
 		./internal/faultnet/... ./internal/cluster/... ./internal/journal/... \
-		./internal/admin/...
+		./internal/admin/... ./internal/swarm/... ./internal/obs/... \
+		./internal/protocol/... ./internal/anchor/... ./internal/mcu/... \
+		./cmd/attest-loadgen/...
 
 # One benchmark per paper table/figure plus the ablations.
 bench:
@@ -46,9 +49,13 @@ repro-json:
 # Short fuzzing pass over the frame decoders and the assembler.
 fuzz:
 	$(GO) test -fuzz=FuzzDecodeAttReq -fuzztime=10s ./internal/protocol/
+	$(GO) test -fuzz=FuzzDecodeAttResp -fuzztime=10s ./internal/protocol/
 	$(GO) test -fuzz=FuzzDecodeCommandReq -fuzztime=10s ./internal/protocol/
+	$(GO) test -fuzz=FuzzDecodeCommandResp -fuzztime=10s ./internal/protocol/
 	$(GO) test -fuzz=FuzzDecodeHello -fuzztime=10s ./internal/protocol/
 	$(GO) test -fuzz=FuzzDecodeStatsReport -fuzztime=10s ./internal/protocol/
+	$(GO) test -fuzz=FuzzDecodeSwarmReq -fuzztime=10s ./internal/protocol/
+	$(GO) test -fuzz=FuzzDecodeSwarmResp -fuzztime=10s ./internal/protocol/
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=10s ./internal/transport/
 	$(GO) test -fuzz=FuzzParseSchedule -fuzztime=10s ./internal/faultnet/
 	$(GO) test -fuzz=FuzzDecode -fuzztime=10s ./internal/isa/

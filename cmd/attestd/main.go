@@ -58,7 +58,7 @@ func main() {
 		maxInflight = flag.Int("max-inflight", 256, "global cap on outstanding requests")
 		connRate    = flag.Float64("conn-rate", 0, "per-connection inbound frames/s budget (0 = unlimited)")
 		fastPath    = flag.Bool("fastpath", false, "grant the O(1) fast path to provers with a clean write monitor")
-		maxDevices  = flag.Int("max-devices", 0, "cap on distinct device identities (0 = default 4096)")
+		maxDevices  = flag.Int("max-devices", 0, "cap on distinct device identities (0 = default 65536, ~2 KiB each)")
 
 		floodTotal = flag.Int("flood", 0, "impersonator mode: flood each connection with N adversarial frames (0 = honest daemon)")
 		floodRate  = flag.Float64("flood-rate", 0, "flood pacing in frames/s (0 = as fast as the socket accepts)")

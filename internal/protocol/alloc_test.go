@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -167,4 +168,37 @@ func TestCheckDecodedResponseUnsolicitedZeroAllocs(t *testing.T) {
 			t.Fatalf("ok=%v err=%v, want unsolicited reject", ok, err)
 		}
 	})
+}
+
+// TestVerifiersShareGoldenImage pins the memory contract of
+// VerifierConfig.Golden: verifiers reference the caller's image instead
+// of copying it, so a daemon holding thousands of devices pays for the
+// image once. A per-verifier copy of a 512 KiB image would blow the
+// per-construction budget by two orders of magnitude.
+func TestVerifiersShareGoldenImage(t *testing.T) {
+	golden := make([]byte, 512*1024)
+	key := []byte("0123456789abcdef0123")
+	cfg := VerifierConfig{Freshness: FreshCounter, Auth: NewHMACAuth(key), AttestKey: key, Golden: golden, AllowFastPath: true}
+	newV := func() *Verifier {
+		v, err := NewVerifier(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	a, b := newV(), newV()
+	if &a.golden[0] != &golden[0] || &b.golden[0] != &golden[0] {
+		t.Fatal("verifiers built from one Golden do not share its backing array")
+	}
+
+	const n = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		newV()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 4096 {
+		t.Fatalf("NewVerifier allocates %d B per call, want < 4096 (golden image copied?)", per)
+	}
 }

@@ -55,6 +55,9 @@ type VerifierConfig struct {
 	// to validate measurement responses.
 	AttestKey []byte
 	// Golden is the expected content of the prover's measured memory.
+	// NewVerifier retains the slice without copying it, so one image can
+	// back every verifier in a daemon: the caller must treat it as
+	// read-only from construction on.
 	Golden []byte
 	// Clock returns the verifier's current time in prover-clock
 	// milliseconds. Timestamp freshness assumes the two clocks are
@@ -80,7 +83,7 @@ func NewVerifier(cfg VerifierConfig) (*Verifier, error) {
 		freshness:   cfg.Freshness,
 		auth:        cfg.Auth,
 		attestKey:   append([]byte(nil), cfg.AttestKey...),
-		golden:      append([]byte(nil), cfg.Golden...),
+		golden:      cfg.Golden, // shared, read-only: see VerifierConfig.Golden
 		clock:       cfg.Clock,
 		allowFast:   cfg.AllowFastPath,
 		pending:     make(map[uint64]*pendingAtt),

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"proverattest/internal/core"
@@ -195,4 +197,40 @@ func TestHandleFrameStatsWithinBudget(t *testing.T) {
 	if dev.lastStats.Load() == nil {
 		t.Fatal("stats report not retained")
 	}
+}
+
+// TestDeviceHeapPerDevice pins the per-device memory cost that sizes the
+// MaxDevices default: every verifier shares the daemon's golden image, so
+// a device entry is a few KiB of keys, maps and counters. A per-device
+// image copy (512 KiB) would fail this by a factor of thirty.
+func TestDeviceHeapPerDevice(t *testing.T) {
+	s, err := New(Config{
+		Freshness:    protocol.FreshCounter,
+		Auth:         protocol.AuthHMACSHA1,
+		MasterSecret: testMaster,
+		Golden:       core.GoldenRAMPattern(),
+		FastPath:     true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 256
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		if _, err := s.device(fmt.Sprintf("heap-dev-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if s.Devices() != n {
+		t.Fatalf("Devices = %d, want %d", s.Devices(), n)
+	}
+	per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n
+	if per >= 16<<10 {
+		t.Fatalf("live heap grew %d B per device, want < %d (golden image copied per device?)", per, 16<<10)
+	}
+	t.Logf("live heap per device: %d B", per)
 }

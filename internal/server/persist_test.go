@@ -540,3 +540,123 @@ func TestRestartDrillFsyncInterval(t *testing.T) {
 		t.Fatalf("adoptions: exact=%d jumped=%d, want 0/4", c.RecoveredExact, c.RecoveredJumped)
 	}
 }
+
+// --- device creation must not drop claimed freshness state ------------------
+
+// journalDevice writes a cleanly closed state directory holding one device
+// whose counter and nonce streams stand at counter.
+func journalDevice(t *testing.T, id string, counter uint64) string {
+	t.Helper()
+	dir := t.TempDir()
+	ps, err := OpenPersistentStore(dir, PersistOptions{Fsync: journal.FsyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := testDevice(t, id)
+	dev.v.ImportState(protocol.VerifierState{Counter: counter, NonceSeq: counter})
+	ps.Put(id, dev)
+	if err := ps.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestCapRefusalKeepsRecoveredState: a hello refused at the device-table
+// cap must leave a recovered device's journaled streams unclaimed, so the
+// device resumes them once a slot frees instead of restarting at zero.
+func TestCapRefusalKeepsRecoveredState(t *testing.T) {
+	dir := journalDevice(t, "rec-dev", 5000)
+	ps := openPersistent(t, dir, PersistOptions{Fsync: journal.FsyncNone})
+	s := testServer(t, func(c *Config) {
+		c.Store = ps
+		c.MaxDevices = 1
+	})
+	if _, err := s.device("filler-dev"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.device("rec-dev"); err != errDeviceTableFull {
+		t.Fatalf("device at the cap: err = %v, want errDeviceTableFull", err)
+	}
+	if n := ps.RecoveredPending(); n != 1 {
+		t.Fatalf("RecoveredPending = %d after a refused hello, want 1", n)
+	}
+
+	if !s.AdminEvict("filler-dev") {
+		t.Fatal("evict filler-dev")
+	}
+	d, err := s.device("rec-dev")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d.v.ExportState().Counter; got != 5000 {
+		t.Fatalf("counter = %d after the slot freed, want the recovered 5000", got)
+	}
+	if n := ps.RecoveredPending(); n != 0 {
+		t.Fatalf("RecoveredPending = %d after adoption, want 0", n)
+	}
+}
+
+// TestConcurrentFirstContactAdoptsRecoveredState races several first
+// contacts for one recovered device. Exactly one entry may result, and it
+// must carry the recovered streams: a fresh verifier winning the insert
+// while a losing construction claimed the journal record would rewind the
+// device's counter, which its trust anchor then refuses forever.
+func TestConcurrentFirstContactAdoptsRecoveredState(t *testing.T) {
+	const (
+		trials  = 200
+		callers = 4
+		counter = 5000
+	)
+	golden := core.GoldenRAMPattern()
+	for trial := 0; trial < trials; trial++ {
+		dir := journalDevice(t, "rec-dev", counter)
+		ps, err := OpenPersistentStore(dir, PersistOptions{Fsync: journal.FsyncNone})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(Config{
+			Freshness:    protocol.FreshCounter,
+			Auth:         protocol.AuthHMACSHA1,
+			MasterSecret: testMaster,
+			Golden:       golden,
+			Store:        ps,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		devs := make([]*deviceState, callers)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range devs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				d, err := s.device("rec-dev")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				devs[i] = d
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		for i := 1; i < callers; i++ {
+			if devs[i] != devs[0] {
+				t.Fatalf("trial %d: racing first contacts returned distinct entries", trial)
+			}
+		}
+		if got := devs[0].v.ExportState().Counter; got < counter {
+			t.Fatalf("trial %d: counter = %d, want >= %d (verifier rewound)", trial, got, counter)
+		}
+		if n := s.deviceCount.Load(); n != 1 {
+			t.Fatalf("trial %d: deviceCount = %d, want 1", trial, n)
+		}
+		if n := ps.RecoveredPending(); n != 0 {
+			t.Fatalf("trial %d: RecoveredPending = %d, want 0", trial, n)
+		}
+		s.Close()
+		ps.Close()
+	}
+}

@@ -90,7 +90,10 @@ type Config struct {
 	// (protocol.DeriveDeviceKey); required.
 	MasterSecret []byte
 	// Golden is the expected measured-memory image shared by the fleet
-	// (core.GoldenRAMPattern for simulated agents); required.
+	// (core.GoldenRAMPattern for simulated agents); required. The daemon
+	// retains the slice without copying it and every per-device verifier
+	// references that one allocation, so the caller must treat it as
+	// read-only once New returns.
 	Golden []byte
 	// ECDSAKey signs requests when Auth == AuthECDSA.
 	ECDSAKey *ecc.PrivateKey
@@ -133,11 +136,13 @@ type Config struct {
 	MaxRateBurst int
 	// MaxConns bounds concurrent connections (default 1024).
 	MaxConns int
-	// MaxDevices caps the device table (default 4096). Device state is
-	// created at hello time for any claimed ID and each entry holds a
-	// golden-image copy, so an unauthenticated peer inventing IDs could
-	// otherwise grow daemon memory without bound; hellos past the cap are
-	// refused with conns_rejected{cause="device_table_full"}.
+	// MaxDevices caps the device table (default 65536). Device state is
+	// created at hello time for any claimed ID, so an unauthenticated peer
+	// inventing IDs could otherwise grow daemon memory without bound;
+	// hellos past the cap are refused with
+	// conns_rejected{cause="device_table_full"}. Entries share the golden
+	// image, so the measured worst case is ~2 KiB per device: ~130 MiB
+	// with the table full at the default.
 	MaxDevices int
 	// MaxInflight caps outstanding requests across all provers — each
 	// outstanding request is a future golden-image MAC the daemon has
@@ -421,6 +426,11 @@ type Server struct {
 	// Config.MaxDevices without a global sweep on every hello.
 	deviceCount atomic.Int64
 
+	// creating holds the device constructions in flight, by ID, so a
+	// device has at most one: see device. Guarded by createMu.
+	createMu sync.Mutex
+	creating map[string]*creation
+
 	inflight atomic.Int64
 	reg      *obs.Registry
 	m        *serverMetrics
@@ -467,7 +477,7 @@ func New(cfg Config) (*Server, error) {
 		cfg.MaxConns = 1024
 	}
 	if cfg.MaxDevices <= 0 {
-		cfg.MaxDevices = 4096
+		cfg.MaxDevices = 65536
 	}
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = 256
@@ -502,13 +512,14 @@ func New(cfg Config) (*Server, error) {
 		store = NewShardedStore(cfg.Shards)
 	}
 	s := &Server{
-		cfg:     cfg,
-		store:   store,
-		cl:      cfg.Cluster,
-		conns:   make(map[net.Conn]struct{}),
-		drainCh: make(chan struct{}),
-		reg:     reg,
-		m:       newServerMetrics(reg),
+		cfg:      cfg,
+		store:    store,
+		cl:       cfg.Cluster,
+		conns:    make(map[net.Conn]struct{}),
+		creating: make(map[string]*creation),
+		drainCh:  make(chan struct{}),
+		reg:      reg,
+		m:        newServerMetrics(reg),
 	}
 	tiers, err := buildTiers(cfg.Tiers, cfg.PerConnRatePerSec, cfg.PerConnBurst, reg)
 	if err != nil {
@@ -593,19 +604,67 @@ func (s *Server) Inflight() int64 { return s.inflight.Load() }
 // under an ID-inventing flood.
 var errDeviceTableFull = errors.New("server: device table full")
 
+// creation is one in-flight device construction; concurrent first
+// contacts for the same ID wait on done and share its outcome.
+type creation struct {
+	done chan struct{}
+	d    *deviceState
+	err  error
+}
+
 // device returns the per-prover state, creating it (and its verifier) on
-// first contact. Construction — key derivation, authenticator setup and a
-// verifier holding its own golden-image copy — happens *outside* the
-// shard lock: it is the expensive part of a cold start, and holding the
-// stripe mutex through it would let a burst of unknown IDs stall every
-// established device on the same shard. The lock then covers only a
-// re-check (first insert wins; a racing construction is discarded) and
-// the capped insert.
+// first contact. At most one construction per ID runs at a time: the
+// first caller leads it and concurrent first contacts wait for its
+// result. That makes the leader the only party that may claim the
+// device's freshness state (journal recovery, cluster replica or live
+// owner), and it claims only after reserving a table slot, so neither a
+// refused hello nor a losing racer can consume state it then drops.
+//
+// No lock is held across construction: key derivation and, in cluster
+// mode, the FetchState peer call are the expensive part of a cold start,
+// and holding a stripe mutex through them would stall every established
+// device on the same shard.
 func (s *Server) device(deviceID string) (*deviceState, error) {
 	if d, ok := s.store.Get(deviceID); ok {
 		return d, nil
 	}
+	// Refuse before paying for key derivation when the table is already
+	// full; createDevice's reserve-then-check keeps the cap exact.
+	if s.deviceCount.Load() >= int64(s.cfg.MaxDevices) {
+		return nil, errDeviceTableFull
+	}
 
+	s.createMu.Lock()
+	if c, ok := s.creating[deviceID]; ok {
+		s.createMu.Unlock()
+		<-c.done
+		return c.d, c.err
+	}
+	// A leader publishes before it leaves creating, so an ID in neither
+	// place has no construction in flight.
+	if d, ok := s.store.Get(deviceID); ok {
+		s.createMu.Unlock()
+		return d, nil
+	}
+	c := &creation{done: make(chan struct{})}
+	s.creating[deviceID] = c
+	s.createMu.Unlock()
+
+	c.d, c.err = s.createDevice(deviceID)
+
+	s.createMu.Lock()
+	delete(s.creating, deviceID)
+	s.createMu.Unlock()
+	close(c.done)
+	return c.d, c.err
+}
+
+// createDevice builds, adopts and publishes one device entry; only the
+// construction leader (see device) calls it. The entry reaches the store
+// after its freshness state is adopted, so no reader — the replication
+// pusher, the persist flusher, admin — ever observes a fresh stream for a
+// device whose state exists elsewhere.
+func (s *Server) createDevice(deviceID string) (*deviceState, error) {
 	key := protocol.DeriveDeviceKey(s.cfg.MasterSecret, deviceID)
 	auth, err := newAuthenticator(s.cfg.Auth, key[:], s.cfg.ECDSAKey)
 	if err != nil {
@@ -622,6 +681,15 @@ func (s *Server) device(deviceID string) (*deviceState, error) {
 		return nil, err
 	}
 	d := &deviceState{id: deviceID, v: v, kick: make(chan struct{}, 1)}
+
+	// Reserve-then-check keeps the cap exact: two constructions racing on
+	// different devices both Add before either could Load. It comes
+	// before any state claim, so a refusal leaves the device's state
+	// where it was.
+	if s.deviceCount.Add(1) > int64(s.cfg.MaxDevices) {
+		s.deviceCount.Add(-1)
+		return nil, errDeviceTableFull
+	}
 
 	// Cluster mode: first contact on this daemon is usually a device
 	// whose previous owner still holds (or replicated) its freshness
@@ -640,15 +708,9 @@ func (s *Server) device(deviceID string) (*deviceState, error) {
 		}
 	}
 
-	// Reserve-then-check keeps the cap exact: two inserts racing on
-	// different devices both Add before either could Load.
-	if s.deviceCount.Add(1) > int64(s.cfg.MaxDevices) {
-		s.deviceCount.Add(-1)
-		return nil, errDeviceTableFull
-	}
 	if cur, inserted := s.store.Put(deviceID, d); !inserted {
-		// Lost the creation race; the winner's state carries the device's
-		// nonce/counter stream, so it must be the one everyone uses.
+		// Only reachable when something besides device() inserts into an
+		// injected store; the incumbent carries the live stream.
 		s.deviceCount.Add(-1)
 		return cur, nil
 	}

@@ -23,8 +23,9 @@ import (
 //     concurrent mutation (entries inserted during a sweep may or may not
 //     be visited).
 //
-// Entries are package-private (a *deviceState embeds the verifier and its
-// golden-image copy), so implementations currently live in this package;
+// Entries are package-private (a *deviceState embeds the verifier, which
+// references the daemon's shared golden image), so implementations
+// currently live in this package;
 // the interface is the seam a persistent or remote backend would slot
 // into.
 type VerifierStore interface {
