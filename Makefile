@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-compile repro fuzz fuzz-smoke examples clean
+.PHONY: all build vet fmt-check test race bench bench-compile repro fuzz fuzz-smoke examples clean
 .PHONY: attestd attest-agent attest-loadgen flood-net bench-transport bench-server bench-quiescent bench-swarm bench-cluster metrics-smoke
 .PHONY: cover chaos-smoke cluster-smoke persist-smoke bench-persist admin-smoke bench-tiers
 
@@ -13,6 +13,11 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Fails when any tracked Go file is not gofmt-clean (CI runs this).
+fmt-check:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "not gofmt-clean:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -61,13 +66,15 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=10s ./internal/isa/
 	$(GO) test -fuzz=FuzzAssemble -fuzztime=10s ./internal/isa/
 	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=10s ./internal/journal/
+	$(GO) test -fuzz=FuzzPeerCodec -fuzztime=10s ./internal/cluster/
 
-# The CI-sized fuzz pass: the wire-facing decoders plus the journal
-# replayer (it parses whatever a crash left on disk — same trust level as
-# a socket).
+# The CI-sized fuzz pass: the wire-facing decoders, the cluster peer
+# codec, plus the journal replayer (it parses whatever a crash left on
+# disk — same trust level as a socket).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=10s ./internal/transport/
 	$(GO) test -fuzz=FuzzDecodeHello -fuzztime=10s ./internal/protocol/
+	$(GO) test -fuzz=FuzzPeerCodec -fuzztime=10s ./internal/cluster/
 	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=10s ./internal/journal/
 
 # Networked deployment binaries (bin/attestd, bin/attest-agent).

@@ -23,9 +23,9 @@ func FuzzJournalReplay(f *testing.F) {
 	valid = appendRecord(valid, recTombstone, "dev-b", nil)
 	valid = appendRecord(valid, recClean, "", nil)
 	f.Add(valid)
-	f.Add(valid[:len(valid)-3])        // torn tail
-	f.Add([]byte{})                    // empty file
-	f.Add([]byte{0xFF, 0xFF, 0xFF})    // short length prefix
+	f.Add(valid[:len(valid)-3])                     // torn tail
+	f.Add([]byte{})                                 // empty file
+	f.Add([]byte{0xFF, 0xFF, 0xFF})                 // short length prefix
 	f.Add(binary.LittleEndian.AppendUint32(nil, 0)) // zero-length record
 
 	// Key/DeviceID mismatch seed: framing intact, embedded ID wrong.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"proverattest/internal/core"
 	"proverattest/internal/protocol"
@@ -45,7 +46,7 @@ func allocsPerFrame(t *testing.T, name string, limit float64, fn func()) {
 func TestHandleFrameUnknownZeroAllocs(t *testing.T) {
 	s, dev := newAllocRig(t)
 	frame := []byte{0xDE, 0xAD, 0xBE, 0xEF}
-	allocsPerFrame(t, "unknown frame", 0, func() { s.handleFrame(dev, nil, frame) })
+	allocsPerFrame(t, "unknown frame", 0, func() { s.handleFrame(dev, nil, frame, time.Now()) })
 	if s.Counters().UnknownFrames == 0 {
 		t.Fatal("unknown frames not counted")
 	}
@@ -58,7 +59,7 @@ func TestHandleFrameRateLimitedZeroAllocs(t *testing.T) {
 	bucket := newTokenBucket(1e-9, 1)
 	bucket.tokens = 0
 	frame := []byte{0xDE, 0xAD}
-	allocsPerFrame(t, "rate-limited frame", 0, func() { s.handleFrame(dev, bucket, frame) })
+	allocsPerFrame(t, "rate-limited frame", 0, func() { s.handleFrame(dev, bucket, frame, time.Now()) })
 	if s.Counters().RateLimited == 0 {
 		t.Fatal("rate-limited frames not counted")
 	}
@@ -69,7 +70,7 @@ func TestHandleFrameUnsolicitedRespZeroAllocs(t *testing.T) {
 	// A well-formed response answering no outstanding nonce: decode-into,
 	// shard-locked map miss, static-error reject.
 	frame := (&protocol.AttResp{Nonce: 0xFEED}).Encode()
-	allocsPerFrame(t, "unsolicited response", 0, func() { s.handleFrame(dev, nil, frame) })
+	allocsPerFrame(t, "unsolicited response", 0, func() { s.handleFrame(dev, nil, frame, time.Now()) })
 	if s.Counters().ResponsesUnsolicited == 0 {
 		t.Fatal("unsolicited responses not counted")
 	}
@@ -79,7 +80,7 @@ func TestHandleFrameMalformedRespZeroAllocs(t *testing.T) {
 	s, dev := newAllocRig(t)
 	// Classifies as a response (magic + version) but fails strict framing.
 	frame := (&protocol.AttResp{Nonce: 1}).Encode()[:respTruncated]
-	allocsPerFrame(t, "malformed response", 0, func() { s.handleFrame(dev, nil, frame) })
+	allocsPerFrame(t, "malformed response", 0, func() { s.handleFrame(dev, nil, frame, time.Now()) })
 	c := s.Counters()
 	if c.ResponsesMalformed == 0 || c.MalformedFrames == 0 {
 		t.Fatal("malformed responses not counted on their distinct cause series")
@@ -101,7 +102,7 @@ func TestHandleFrameMalformedStatsDistinctCause(t *testing.T) {
 	s, dev := newAllocRig(t)
 	frame := (&protocol.StatsReport{Received: 1}).Encode()
 	frame = frame[:len(frame)-1] // classifies as stats, fails length check
-	allocsPerFrame(t, "malformed stats", 0, func() { s.handleFrame(dev, nil, frame) })
+	allocsPerFrame(t, "malformed stats", 0, func() { s.handleFrame(dev, nil, frame, time.Now()) })
 	c := s.Counters()
 	if c.MalformedFrames == 0 {
 		t.Fatal("malformed stats frames not counted as malformed")
@@ -142,7 +143,7 @@ func TestHandleFrameFastAcceptZeroAllocs(t *testing.T) {
 	}
 	var resp protocol.AttResp
 	fr.RespondInto(req, &resp)
-	s.handleFrame(dev, nil, resp.Encode())
+	s.handleFrame(dev, nil, resp.Encode(), time.Now())
 	if c := s.Counters(); c.ResponsesAccepted != 1 || c.ResponsesFast != 0 {
 		t.Fatalf("arming round: %+v", c)
 	}
@@ -165,7 +166,7 @@ func TestHandleFrameFastAcceptZeroAllocs(t *testing.T) {
 		frames = append(frames, r.Encode())
 	}
 	i := 0
-	allocsPerFrame(t, "fast accept", 0, func() { s.handleFrame(dev, nil, frames[i]); i++ })
+	allocsPerFrame(t, "fast accept", 0, func() { s.handleFrame(dev, nil, frames[i], time.Now()); i++ })
 	c := s.Counters()
 	if c.ResponsesFast != uint64(i) || c.ResponsesRejected != 0 {
 		t.Fatalf("after %d fast frames: %+v", i, c)
@@ -179,13 +180,15 @@ const respTruncated = 20
 // BenchmarkHandleFrameUnsolicited times the daemon's gate on its most
 // attacker-reachable reject: a well-formed response answering no
 // outstanding nonce — decode-into, shard-locked map miss, static error.
+// Frames carry the serving loop's gateClock sample, so the histogram
+// clock is paid on the same 1-in-64 share of frames as on a connection.
 func BenchmarkHandleFrameUnsolicited(b *testing.B) {
 	s, dev := newAllocRig(b)
 	frame := (&protocol.AttResp{Nonce: 0xFEED}).Encode()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.handleFrame(dev, nil, frame)
+		s.handleFrame(dev, nil, frame, gateClock(uint64(i)))
 	}
 }
 
@@ -193,7 +196,7 @@ func TestHandleFrameStatsWithinBudget(t *testing.T) {
 	s, dev := newAllocRig(t)
 	frame := (&protocol.StatsReport{Received: 1}).Encode()
 	// One decoded StatsReport object per heartbeat frame is the budget.
-	allocsPerFrame(t, "stats frame", 1, func() { s.handleFrame(dev, nil, frame) })
+	allocsPerFrame(t, "stats frame", 1, func() { s.handleFrame(dev, nil, frame, time.Now()) })
 	if dev.lastStats.Load() == nil {
 		t.Fatal("stats report not retained")
 	}

@@ -22,9 +22,10 @@ import (
 
 // TestSlowLorisEvicted pins both halves of the slow-loris defence: a
 // connection that never completes a hello dies at the hello deadline,
-// and one that completes the hello and then stalls is evicted at the
-// read timeout — while an honest agent on the same daemon keeps getting
-// verdicts (no shard or listener wedge).
+// and one that completes the hello and then stalls — with or without a
+// burst of buffered frames first — is evicted at the read timeout, while
+// an honest agent on the same daemon keeps getting verdicts (no shard or
+// listener wedge).
 func TestSlowLorisEvicted(t *testing.T) {
 	s := testServer(t, func(c *Config) {
 		c.HelloTimeout = 80 * time.Millisecond
@@ -62,6 +63,33 @@ func TestSlowLorisEvicted(t *testing.T) {
 	waitFor(t, 5*time.Second, "read-stall eviction", func() bool {
 		return s.Counters().Evictions >= 1
 	})
+
+	// Loris #3: a hello, five frames and half of a sixth in one write,
+	// then a stall. The whole frames are served from the read buffer
+	// without a deadline arm; the half frame must still meet a read
+	// deadline and get the connection evicted.
+	junk := []byte{0xDE, 0xAD, 0xBE, 0xEF}
+	hello.DeviceID = "loris-burst"
+	burst := transport.AppendFrame(nil, hello.Encode())
+	for i := 0; i < 5; i++ {
+		burst = transport.AppendFrame(burst, junk)
+	}
+	burst = append(burst, transport.AppendFrame(nil, junk)[:6]...)
+	unknown0 := s.Counters().UnknownFrames
+	bursty, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bursty.Close()
+	if _, err := bursty.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, "burst-then-stall eviction", func() bool {
+		return s.Counters().Evictions >= 2
+	})
+	if got := s.Counters().UnknownFrames - unknown0; got != 5 {
+		t.Fatalf("burst loris: %d unknown frames counted, want the 5 whole ones", got)
+	}
 
 	// The honest agent is unaffected by either loris.
 	a := testAgent(t, "honest-dev")

@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"proverattest/internal/obs"
+	"proverattest/internal/protocol"
+	"proverattest/internal/transport"
 )
 
 // parsePromText parses a Prometheus text exposition into a map keyed by
@@ -179,5 +181,55 @@ func TestMetricsSmoke(t *testing.T) {
 	}
 	if series["attestd_devices"] != 1 {
 		t.Errorf("attestd_devices = %v, want 1", series["attestd_devices"])
+	}
+}
+
+// TestGateHistogramSampled pins the gate's sampled accounting over a
+// served connection: each rejected frame advances its cause counter,
+// while attestd_gate_seconds times only frame 0 of the connection and
+// each 64th frame after it.
+func TestGateHistogramSampled(t *testing.T) {
+	s := testServer(t, func(c *Config) { c.AttestEvery = time.Hour })
+	cases := []struct {
+		name  string
+		frame []byte
+		n     int
+		cause func(Counters) uint64
+	}{
+		{"unknown", []byte{0xDE, 0xAD, 0xBE, 0xEF}, 1,
+			func(c Counters) uint64 { return c.UnknownFrames }},
+		{"malformed", (&protocol.AttResp{Nonce: 1}).Encode()[:respTruncated], gateSampleEvery,
+			func(c Counters) uint64 { return c.MalformedFrames }},
+		{"unsolicited", (&protocol.AttResp{Nonce: 0xFEED}).Encode(), 2*gateSampleEvery + 1,
+			func(c Counters) uint64 { return c.ResponsesUnsolicited }},
+	}
+	for _, tc := range cases {
+		hello := &protocol.Hello{Freshness: protocol.FreshCounter, Auth: protocol.AuthHMACSHA1, DeviceID: "gate-" + tc.name}
+		burst := transport.AppendFrame(nil, hello.Encode())
+		for i := 0; i < tc.n; i++ {
+			burst = transport.AppendFrame(burst, tc.frame)
+		}
+		c0, g0 := s.Counters(), s.m.gateLat.Count()
+		client, conn := net.Pipe()
+		served := make(chan struct{})
+		go func() { s.HandleConn(conn); close(served) }()
+		go io.Copy(io.Discard, client) //nolint:errcheck
+		if _, err := client.Write(burst); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		client.Close()
+		<-served
+
+		c1 := s.Counters()
+		if got := tc.cause(c1) - tc.cause(c0); got != uint64(tc.n) {
+			t.Errorf("%s: cause counter advanced %d for %d frames", tc.name, got, tc.n)
+		}
+		if got := c1.FramesIn - c0.FramesIn; got != uint64(tc.n) {
+			t.Errorf("%s: FramesIn advanced %d for %d frames", tc.name, got, tc.n)
+		}
+		want := uint64((tc.n + gateSampleEvery - 1) / gateSampleEvery)
+		if got := s.m.gateLat.Count() - g0; got != want {
+			t.Errorf("%s: gate histogram count advanced %d for %d frames, want %d", tc.name, got, tc.n, want)
+		}
 	}
 }

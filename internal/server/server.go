@@ -1043,7 +1043,7 @@ func (s *Server) handleConnInner(nc net.Conn) {
 	// the per-frame path.
 	dev.setTier(s.tiers.resolve(hello.DeviceID, hello.Tier))
 	bucket := dev.tier.Load().connBucketAt(nil)
-	for {
+	for i := uint64(0); ; i++ {
 		// RecvShared reuses the connection's frame buffer: every handler
 		// below either decodes into value types or copies what it keeps, so
 		// nothing aliases the buffer past handleFrame's return.
@@ -1057,7 +1057,33 @@ func (s *Server) handleConnInner(nc net.Conn) {
 			}
 			return
 		}
-		s.handleFrame(dev, bucket, frame)
+		s.handleFrame(dev, bucket, frame, gateClock(i))
+	}
+}
+
+// gateSampleEvery is the gate histogram's per-connection sampling period:
+// frame 0 of every connection and each 64th after it are timed. A clock
+// pair costs more than the cheapest rejects it would time, so timing every
+// frame would let a flood double the gate's cost; the sample keeps the
+// histogram's mean and quantiles, while the reject counters, advanced on
+// every frame, carry the counts.
+const gateSampleEvery = 64
+
+// gateClock returns the gate-histogram start time for frame i of a
+// connection: the current time when the frame is sampled, the zero time
+// otherwise.
+func gateClock(i uint64) time.Time {
+	if i%gateSampleEvery != 0 {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// observeGate records a gate reject's service time when its frame was
+// sampled (t0 set by gateClock).
+func (m *serverMetrics) observeGate(t0 time.Time) {
+	if !t0.IsZero() {
+		m.gateLat.Observe(time.Since(t0))
 	}
 }
 
@@ -1066,13 +1092,12 @@ func (s *Server) handleConnInner(nc net.Conn) {
 // (rate-limited, unknown, unsolicited) — a hostile peer chooses how often
 // those branches run, and both the counters and the gate-latency
 // histogram record with atomics only. frame is only valid for the
-// duration of the call.
-func (s *Server) handleFrame(dev *deviceState, bucket *tokenBucket, frame []byte) {
-	t0 := time.Now()
+// duration of the call; t0 is the frame's gateClock sample.
+func (s *Server) handleFrame(dev *deviceState, bucket *tokenBucket, frame []byte, t0 time.Time) {
 	s.m.framesIn.Inc()
 	if bucket != nil && !bucket.allow() {
 		s.m.rejRateLimited.Inc()
-		s.m.gateLat.Observe(time.Since(t0))
+		s.m.observeGate(t0)
 		return
 	}
 	// Tier-wide budget after the per-connection one: a single hostile
@@ -1082,12 +1107,12 @@ func (s *Server) handleFrame(dev *deviceState, bucket *tokenBucket, frame []byte
 	if tr != nil && !tr.allow() {
 		tr.limited.Add(1)
 		s.m.rejTierLimited.Inc()
-		s.m.gateLat.Observe(time.Since(t0))
+		s.m.observeGate(t0)
 		return
 	}
 	if s.dBucket != nil && !s.dBucket.allow() {
 		s.m.rejDaemonRate.Inc()
-		s.m.gateLat.Observe(time.Since(t0))
+		s.m.observeGate(t0)
 		return
 	}
 	if tr != nil {
@@ -1104,7 +1129,7 @@ func (s *Server) handleFrame(dev *deviceState, bucket *tokenBucket, frame []byte
 		s.onSwarmResp(dev, frame, t0)
 	default:
 		s.m.rejUnknown.Inc()
-		s.m.gateLat.Observe(time.Since(t0))
+		s.m.observeGate(t0)
 	}
 }
 
@@ -1116,7 +1141,7 @@ func (s *Server) onAttResp(dev *deviceState, frame []byte, t0 time.Time) {
 	var resp protocol.AttResp
 	if err := protocol.DecodeAttRespInto(frame, &resp); err != nil {
 		s.m.rejMalformedResp.Inc()
-		s.m.gateLat.Observe(time.Since(t0))
+		s.m.observeGate(t0)
 		return
 	}
 	mu := &dev.mu
@@ -1153,16 +1178,16 @@ func (s *Server) onAttResp(dev *deviceState, frame []byte, t0 time.Time) {
 		s.releaseInflight()
 	case unsol:
 		s.m.rejUnsolicited.Inc()
-		s.m.gateLat.Observe(time.Since(t0))
+		s.m.observeGate(t0)
 	case fastRej:
 		// A fast response that failed the digest/epoch record check. The
 		// verifier has dropped its fast state, so the device's next
 		// request demands — and its deviation is caught by — the full MAC.
 		s.m.rejFastMismatch.Inc()
-		s.m.gateLat.Observe(time.Since(t0))
+		s.m.observeGate(t0)
 	default:
 		s.m.rejBadMeasurement.Inc()
-		s.m.gateLat.Observe(time.Since(t0))
+		s.m.observeGate(t0)
 	}
 }
 
@@ -1182,10 +1207,10 @@ func (s *Server) onCommandResp(dev *deviceState, frame []byte, t0 time.Time) {
 		s.releaseInflight()
 	case unsol:
 		s.m.rejUnsolicited.Inc()
-		s.m.gateLat.Observe(time.Since(t0))
+		s.m.observeGate(t0)
 	default:
 		s.m.rejCommand.Inc()
-		s.m.gateLat.Observe(time.Since(t0))
+		s.m.observeGate(t0)
 	}
 }
 
@@ -1199,7 +1224,7 @@ func (s *Server) onStats(dev *deviceState, frame []byte, t0 time.Time) {
 		// malformed frame, not an unknown kind — distinct cause, distinct
 		// series.
 		s.m.rejMalformedStats.Inc()
-		s.m.gateLat.Observe(time.Since(t0))
+		s.m.observeGate(t0)
 		return
 	}
 	st := new(protocol.StatsReport)

@@ -310,7 +310,7 @@ func (s *Server) onSwarmResp(dev *deviceState, frame []byte, t0 time.Time) {
 	sc := s.swarm
 	if sc == nil || dev.id != sc.gateway {
 		s.m.rejUnsolicited.Inc()
-		s.m.gateLat.Observe(time.Since(t0))
+		s.m.observeGate(t0)
 		return
 	}
 	// Decode into a stack value, then copy out: the retained response
@@ -319,13 +319,13 @@ func (s *Server) onSwarmResp(dev *deviceState, frame []byte, t0 time.Time) {
 	var tmp protocol.SwarmResp
 	if err := protocol.DecodeSwarmRespInto(frame, &tmp); err != nil {
 		s.m.rejMalformedSwarm.Inc()
-		s.m.gateLat.Observe(time.Since(t0))
+		s.m.observeGate(t0)
 		return
 	}
 	w := sc.pend.Load()
 	if w == nil || tmp.Nonce != w.nonce {
 		s.m.rejUnsolicited.Inc()
-		s.m.gateLat.Observe(time.Since(t0))
+		s.m.observeGate(t0)
 		return
 	}
 	resp := new(protocol.SwarmResp)

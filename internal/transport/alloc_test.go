@@ -137,3 +137,39 @@ func TestRecvSharedReusesBuffer(t *testing.T) {
 		t.Fatalf("aliasing contract: first slice now reads %q, want overwrite", f1)
 	}
 }
+
+// replayConn serves an endless repetition of stream; reads end wherever
+// the caller's buffer does, so frames straddle socket reads.
+type replayConn struct {
+	sinkConn
+	stream []byte
+	off    int
+}
+
+func (c *replayConn) Read(p []byte) (int, error) {
+	n := copy(p, c.stream[c.off:])
+	c.off = (c.off + n) % len(c.stream)
+	return n, nil
+}
+
+// TestRecvSharedZeroAllocs locks in the zero-allocation read path with a
+// read deadline set, over frames both whole in the read buffer (no
+// deadline arm) and straddling a socket read (deadline armed).
+func TestRecvSharedZeroAllocs(t *testing.T) {
+	var stream []byte
+	for i := 0; i < 100; i++ {
+		stream = AppendFrame(stream, bytes.Repeat([]byte{0x5A}, 61))
+	}
+	counted := &armCounter{Conn: &replayConn{stream: stream}}
+	c := NewConn(counted, Options{ReadTimeout: time.Second})
+	reads := 0
+	assertZeroAllocs(t, "Conn.RecvShared", func() {
+		if _, err := c.RecvShared(); err != nil {
+			t.Fatal(err)
+		}
+		reads++
+	})
+	if counted.arms == 0 || counted.arms >= reads {
+		t.Fatalf("%d deadline arms over %d reads: want both the armed and the buffered path", counted.arms, reads)
+	}
+}

@@ -151,6 +151,12 @@ type Options struct {
 	// ReadTimeout bounds one Recv call (0 = no deadline). A Recv that
 	// times out returns a net.Error with Timeout() == true; the connection
 	// stays usable, so callers can treat timeouts as idle ticks.
+	//
+	// The deadline is armed (now + ReadTimeout) only by a Recv that may
+	// read the socket: one whose frame is not already whole in the read
+	// buffer. A Recv served entirely from the buffer cannot block, so it
+	// skips the deadline syscall; every Recv that can block still waits
+	// at most ReadTimeout from its own start.
 	ReadTimeout time.Duration
 	// WriteTimeout bounds one Send call (0 = no deadline).
 	WriteTimeout time.Duration
@@ -250,7 +256,7 @@ func (c *Conn) RecvShared() ([]byte, error) {
 }
 
 func (c *Conn) recvLocked(scratch []byte) ([]byte, error) {
-	if c.opt.ReadTimeout > 0 {
+	if c.opt.ReadTimeout > 0 && !c.frameBuffered() {
 		if err := c.nc.SetReadDeadline(time.Now().Add(c.opt.ReadTimeout)); err != nil {
 			return nil, err
 		}
@@ -258,6 +264,17 @@ func (c *Conn) recvLocked(scratch []byte) ([]byte, error) {
 	frame, err := ReadFrameInto(c.br, scratch, c.opt.MaxFrame)
 	c.opt.Metrics.recvDone(frame, err)
 	return frame, err
+}
+
+// frameBuffered reports whether the next frame (prefix and payload) is
+// already whole in the read buffer, so reading it cannot touch the socket.
+func (c *Conn) frameBuffered() bool {
+	n := c.br.Buffered()
+	if n < prefixSize {
+		return false
+	}
+	prefix, _ := c.br.Peek(prefixSize) // buffered: no I/O, cannot fail
+	return uint64(n) >= prefixSize+uint64(binary.LittleEndian.Uint32(prefix))
 }
 
 // SetReadTimeout replaces the per-Recv deadline for subsequent reads.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"net"
 	"testing"
 	"time"
 )
@@ -117,5 +118,85 @@ func TestRecvTimeoutIsIdleTick(t *testing.T) {
 		if !IsTimeout(err) || time.Now().After(deadline) {
 			t.Fatalf("Recv after timeout: %v", err)
 		}
+	}
+}
+
+// armCounter wraps a net.Conn and counts read-deadline arms.
+type armCounter struct {
+	net.Conn
+	arms int
+}
+
+func (c *armCounter) SetReadDeadline(t time.Time) error {
+	c.arms++
+	return c.Conn.SetReadDeadline(t)
+}
+
+// TestBufferedFramesArmDeadlineOnce pins the saving of the ReadTimeout
+// contract: 100 frames delivered in one write reach the reader in one
+// socket read, so they arm the read deadline once, not once per frame.
+func TestBufferedFramesArmDeadlineOnce(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	const frames = 100
+	var burst []byte
+	for i := 0; i < frames; i++ {
+		burst = AppendFrame(burst, []byte{byte(i), 1, 2, 3, 4, 5, 6, 7})
+	}
+	go a.Write(burst) //nolint:errcheck
+	counted := &armCounter{Conn: b}
+	c := NewConn(counted, Options{ReadTimeout: 5 * time.Second})
+	for i := 0; i < frames; i++ {
+		frame, err := c.RecvShared()
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if frame[0] != byte(i) {
+			t.Fatalf("frame %d carries index %d", i, frame[0])
+		}
+	}
+	if counted.arms > 2 {
+		t.Fatalf("%d frames in one write armed the read deadline %d times, want <= 2", frames, counted.arms)
+	}
+}
+
+// TestPartialFrameRearmsDeadline pins the other half of the contract: a
+// peer that sends whole frames plus part of the next in one write and then
+// stalls. The whole frames are served from the buffer even after the first
+// deadline has expired, and the Recv that must wait for the rest of the
+// partial frame arms a fresh deadline: it times out one ReadTimeout after
+// it starts, not at the stale deadline and not never.
+func TestPartialFrameRearmsDeadline(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	const whole = 3
+	var burst []byte
+	for i := 0; i < whole; i++ {
+		burst = AppendFrame(burst, []byte("whole frame"))
+	}
+	burst = append(burst, AppendFrame(nil, []byte("partial frame"))[:6]...)
+	go a.Write(burst) //nolint:errcheck
+	c := NewConn(b, Options{ReadTimeout: timeout})
+
+	if _, err := c.RecvShared(); err != nil {
+		t.Fatalf("frame 0: %v", err)
+	}
+	time.Sleep(timeout + timeout/2) // the deadline armed for frame 0 expires
+	for i := 1; i < whole; i++ {
+		if _, err := c.RecvShared(); err != nil {
+			t.Fatalf("buffered frame %d after the first deadline: %v", i, err)
+		}
+	}
+	start := time.Now()
+	_, err := c.RecvShared()
+	elapsed := time.Since(start)
+	if !IsTimeout(err) {
+		t.Fatalf("Recv on a stalled partial frame: %v, want timeout", err)
+	}
+	if elapsed < timeout*9/10 || elapsed > timeout+time.Second {
+		t.Fatalf("stalled partial frame timed out after %v, want about %v", elapsed, timeout)
 	}
 }
